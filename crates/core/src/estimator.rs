@@ -1136,15 +1136,15 @@ impl<'a> Estimator<'a> {
                     return Err(e);
                 }
             };
-            let cached = self.cached_child_coeffs(child);
+            let x = acc.view();
+            // The merge kernel never reads a coefficient table: fetch
+            // (or build) one only for a join that takes the primitive path.
+            let cached = match x.merge_coverage() {
+                Some(_) => None,
+                None => self.cached_child_coeffs(child),
+            };
             let mut out = ws.take_slot();
-            let res = ancestor_join_into(
-                ws,
-                acc.view(),
-                child_stats.view(),
-                cached.as_deref(),
-                &mut out,
-            );
+            let res = ancestor_join_into(ws, x, child_stats.view(), cached.as_deref(), &mut out);
             let acc_base = acc.cvg_base();
             child_stats.release(ws);
             acc.release(ws);

@@ -183,6 +183,14 @@ impl<'a> StatsView<'a> {
             no_overlap,
         }
     }
+
+    /// The coverage a join with this view on the ancestor side runs the
+    /// Fig. 10 merge kernel over — `Some` exactly when the ancestor is
+    /// no-overlap with coverage. `None` means the join falls back to the
+    /// primitive pH-join, the only path that reads a coefficient table.
+    pub fn merge_coverage(&self) -> Option<CoverageRef<'a>> {
+        self.cvg.filter(|_| self.no_overlap)
+    }
 }
 
 /// Owned, reusable result buffers for one pattern node: the arena slot
@@ -582,9 +590,9 @@ pub fn ancestor_join_into(
     cached: Option<&JoinCoefficients>,
     out: &mut StatsSlot,
 ) -> Result<()> {
-    match (x.cvg, x.no_overlap) {
-        (Some(cvg), true) => ancestor_merge_kernel(&mut ws.cvg, x, y, cvg, out),
-        _ => primitive_join_into(ws, x, y, Basis::AncestorBased, cached, out),
+    match x.merge_coverage() {
+        Some(cvg) => ancestor_merge_kernel(&mut ws.cvg, x, y, cvg, out),
+        None => primitive_join_into(ws, x, y, Basis::AncestorBased, cached, out),
     }
 }
 
@@ -597,9 +605,9 @@ pub fn descendant_join_into(
     cached: Option<&JoinCoefficients>,
     out: &mut StatsSlot,
 ) -> Result<()> {
-    match (x.cvg, x.no_overlap) {
-        (Some(cvg), true) => descendant_merge_kernel(&mut ws.cvg, x, y, cvg, out),
-        _ => primitive_join_into(ws, x, y, Basis::DescendantBased, cached, out),
+    match x.merge_coverage() {
+        Some(cvg) => descendant_merge_kernel(&mut ws.cvg, x, y, cvg, out),
+        None => primitive_join_into(ws, x, y, Basis::DescendantBased, cached, out),
     }
 }
 

@@ -25,6 +25,10 @@ use xmlest_xml::{NodeId, XmlTree};
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelHistogram {
     counts: Vec<f64>,
+    /// `suffix[d] = Σ_{d' ≥ d} counts[d']`, one longer than `counts`
+    /// (the trailing 0). Derived once at construction so the
+    /// parent–child correction on a warm `/` edge allocates nothing.
+    suffix: Vec<f64>,
 }
 
 impl LevelHistogram {
@@ -38,12 +42,17 @@ impl LevelHistogram {
             }
             counts[d] += 1.0;
         }
-        LevelHistogram { counts }
+        LevelHistogram::from_counts(counts)
     }
 
     /// Direct construction (tests, persistence).
     pub fn from_counts(counts: Vec<f64>) -> Self {
-        LevelHistogram { counts }
+        let dn = counts.len();
+        let mut suffix = vec![0.0; dn + 1];
+        for d in (0..dn).rev() {
+            suffix[d] = suffix[d + 1] + counts[d];
+        }
+        LevelHistogram { counts, suffix }
     }
 
     /// Count at a depth.
@@ -78,19 +87,15 @@ impl LevelHistogram {
 pub fn parent_child_correction(anc: &LevelHistogram, desc: &LevelHistogram) -> f64 {
     let mut adjacent = 0.0;
     let mut any = 0.0;
-    // Suffix sums of the descendant's counts for Σ_{d' > d}.
+    // The descendant's suffix sums give Σ_{d' > d}.
     let dn = desc.counts.len();
-    let mut suffix = vec![0.0; dn + 1];
-    for d in (0..dn).rev() {
-        suffix[d] = suffix[d + 1] + desc.counts[d];
-    }
     for (d, &ca) in anc.counts.iter().enumerate() {
         if ca == 0.0 {
             continue;
         }
         adjacent += ca * desc.get(d + 1);
         if d < dn {
-            any += ca * suffix[(d + 1).min(dn)];
+            any += ca * desc.suffix[(d + 1).min(dn)];
         }
     }
     if any == 0.0 {

@@ -116,6 +116,12 @@ pub(crate) struct Reader<'a> {
 }
 
 impl Reader<'_> {
+    /// Bytes not yet consumed. Length-prefixed decoders bound their
+    /// up-front reservations by this, so a hostile count can never ask
+    /// for more memory than the input could fill.
+    pub(crate) fn remaining(&self) -> usize {
+        self.data.len().saturating_sub(self.pos)
+    }
     pub(crate) fn take(&mut self, n: usize) -> Result<&[u8]> {
         if self.pos + n > self.data.len() {
             return Err(Error::Corrupt("unexpected end of data".into()));
@@ -179,7 +185,7 @@ pub(crate) fn write_grid(w: &mut Writer, g: &Grid) {
 
 pub(crate) fn read_grid(r: &mut Reader) -> Result<Grid> {
     let n = r.u32()? as usize;
-    let mut boundaries = Vec::with_capacity(n);
+    let mut boundaries = Vec::with_capacity(n.min(r.remaining() / 4));
     for _ in 0..n {
         boundaries.push(r.u32()?);
     }
@@ -281,7 +287,7 @@ fn write_levels(w: &mut Writer, l: &LevelHistogram) {
 
 fn read_levels(r: &mut Reader) -> Result<LevelHistogram> {
     let n = r.u32()? as usize;
-    let mut counts = Vec::with_capacity(n);
+    let mut counts = Vec::with_capacity(n.min(r.remaining() / 8));
     for _ in 0..n {
         counts.push(r.f64()?);
     }

@@ -62,26 +62,37 @@ use xmlest_xobs::{EventKind, Recorder, Stage};
 /// valid input reaches the fallible steps' error arms naturally).
 #[cfg(test)]
 pub(crate) mod test_faults {
-    /// Number of upcoming [`super::Database::from_collection`] calls to
-    /// fail artificially (multi-shot: each failure decrements, so a
-    /// test can arm a whole losing streak to exercise the backoff and
-    /// degraded-flag escalation). Store 1 for the classic one-shot.
-    pub(crate) static FAIL_REBUILDS: std::sync::atomic::AtomicU32 =
-        std::sync::atomic::AtomicU32::new(0);
+    use std::cell::Cell;
 
-    /// Serializes tests that arm the (global) fault counter so an
-    /// armed-but-unconsumed count can't leak into a parallel test.
-    pub(crate) static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    thread_local! {
+        /// Number of upcoming [`super::Database::from_collection`] calls
+        /// on this thread to fail artificially (multi-shot: each failure
+        /// decrements, so a test can arm a whole losing streak to
+        /// exercise the backoff and degraded-flag escalation). Per
+        /// thread, so a count armed by one test can never fail a
+        /// rebuild in another test running in parallel.
+        static FAIL_REBUILDS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Arms `n` rebuild failures on this thread (0 disarms).
+    pub(crate) fn arm_rebuild_failures(n: u32) {
+        FAIL_REBUILDS.with(|c| c.set(n));
+    }
+
+    /// Whether a rebuild failure is armed on this thread.
+    pub(crate) fn rebuild_failure_armed() -> bool {
+        FAIL_REBUILDS.with(Cell::get) > 0
+    }
 
     /// Consumes one armed failure, if any.
     pub(crate) fn take_rebuild_failure() -> bool {
-        FAIL_REBUILDS
-            .fetch_update(
-                std::sync::atomic::Ordering::SeqCst,
-                std::sync::atomic::Ordering::SeqCst,
-                |n| n.checked_sub(1),
-            )
-            .is_ok()
+        FAIL_REBUILDS.with(|c| match c.get().checked_sub(1) {
+            Some(n) => {
+                c.set(n);
+                true
+            }
+            None => false,
+        })
     }
 }
 
@@ -355,8 +366,7 @@ struct AppendUndo {
 }
 
 /// Builds the initial serving cell for a freshly constructed database:
-/// epoch-1 snapshot over the just-built summaries, empty frozen twig
-/// view (nothing is prepared yet).
+/// an epoch-1 snapshot over the just-built summaries.
 fn initial_serving(
     degraded: bool,
     summaries: &Arc<Summaries>,
@@ -369,7 +379,6 @@ fn initial_serving(
         degraded,
         summaries.clone(),
         coeffs.clone(),
-        Arc::default(),
         obs.clone(),
         metrics.clone(),
     ))
@@ -1131,7 +1140,7 @@ impl Database {
         // around: decline (without consuming) so the full path's
         // `from_collection` consumes it and reports the failure.
         #[cfg(test)]
-        if test_faults::FAIL_REBUILDS.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+        if test_faults::rebuild_failure_armed() {
             return false;
         }
         let computed = {
@@ -1722,12 +1731,11 @@ impl Database {
     /// epoch bump); under `--features strict-invariants` the publish
     /// re-validates the summaries and epoch monotonicity.
     fn publish_snapshot(&self) {
-        let twigs = self.prepared.frozen_twigs();
         let degraded = self.is_degraded();
         self.obs.event(
             EventKind::SnapshotPublish,
             self.epoch,
-            twigs.len() as u64,
+            self.summaries.generation(),
             degraded as u64,
         );
         if self.obs.enabled() {
@@ -1738,7 +1746,6 @@ impl Database {
             degraded,
             self.summaries.clone(),
             self.coeff_cache.clone(),
-            twigs,
             self.obs.clone(),
             self.metrics.clone(),
         ));
@@ -2166,8 +2173,6 @@ mod tests {
 
     #[test]
     fn failed_rebuild_rolls_back_the_mutation() {
-        use std::sync::atomic::Ordering;
-        let _guard = test_faults::LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut d = Database::load_documents(
             [("a.xml", "<a><x/><x/></a>"), ("b.xml", "<b><y/></b>")],
             &SummaryConfig::paper_defaults().with_grid_size(8),
@@ -2176,7 +2181,7 @@ mod tests {
         let before = d.estimate("//a//x").unwrap().value;
         let epoch = d.epoch();
 
-        test_faults::FAIL_REBUILDS.store(1, Ordering::SeqCst);
+        test_faults::arm_rebuild_failures(1);
         assert!(d.add_document("c.xml", "<a><x/><z/></a>").is_err());
         assert_eq!(d.epoch(), epoch, "failed mutation must not bump the epoch");
         assert_eq!(d.document_names(), vec!["a.xml", "b.xml"]);
@@ -2193,7 +2198,7 @@ mod tests {
         assert_eq!(d.count("//a//x").unwrap(), 3);
 
         // Removal rolls back too, preserving document order.
-        test_faults::FAIL_REBUILDS.store(1, Ordering::SeqCst);
+        test_faults::arm_rebuild_failures(1);
         assert!(d.remove_document("a.xml").is_err());
         assert_eq!(d.document_names(), vec!["a.xml", "b.xml", "c.xml"]);
         assert_eq!(d.count("//a//x").unwrap(), 3);
@@ -2210,8 +2215,6 @@ mod tests {
     /// retry the add and insert the document twice.
     #[test]
     fn failed_auto_refresh_does_not_unwind_the_mutation() {
-        use std::sync::atomic::Ordering;
-        let _guard = test_faults::LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A wide, evenly spread initial document keeps the baseline
         // skew low; the appended pile of same-tag leaves lands in the
         // tail buckets, so skew — and therefore drift — must rise.
@@ -2234,7 +2237,7 @@ mod tests {
         )
         .unwrap();
 
-        test_faults::FAIL_REBUILDS.store(1, Ordering::SeqCst);
+        test_faults::arm_rebuild_failures(1);
         // The append commits on the stable path; the auto refresh it
         // triggers hits the injected rebuild failure.
         d.add_document("b.xml", &pile).unwrap();
@@ -2399,8 +2402,6 @@ mod tests {
     /// clears it all.
     #[test]
     fn failed_refreshes_back_off_and_raise_the_degraded_flag() {
-        use std::sync::atomic::Ordering;
-        let _guard = test_faults::LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut spread = String::from("<a>");
         for _ in 0..24 {
             spread.push_str("<x><q/></x>");
@@ -2424,7 +2425,7 @@ mod tests {
         // threshold, then keep mutating. Backoff windows of 1, 2, 4
         // mutations open between the attempts, so some mutations must
         // be recorded as skips rather than failures.
-        test_faults::FAIL_REBUILDS.store(u32::MAX, Ordering::SeqCst);
+        test_faults::arm_rebuild_failures(u32::MAX);
         let mut mutations = 0u32;
         loop {
             d.add_document(format!("d{mutations}.xml"), &pile[..])
@@ -2452,7 +2453,7 @@ mod tests {
 
         // Disarm the fault: the next out-of-window mutation refreshes
         // successfully and clears strikes, window and flag.
-        test_faults::FAIL_REBUILDS.store(0, Ordering::SeqCst);
+        test_faults::arm_rebuild_failures(0);
         let mut extra = 0u32;
         while d.maintenance_stats().refresh_degraded {
             d.add_document(format!("e{extra}.xml"), &pile[..]).unwrap();

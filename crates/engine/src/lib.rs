@@ -60,11 +60,12 @@
 //! ## Wait-free serving
 //!
 //! Every mutation commit additionally publishes an immutable,
-//! epoch-stamped [`snapshot::Snapshot`] — summaries, coefficient cache
-//! and a frozen prepared-twig view behind `Arc`s — through the
-//! database's [`snapshot::SnapshotCell`]. Readers load the current
-//! snapshot with one lock-free pointer load and estimate entirely
-//! against it, never blocking on (or being blocked by) maintenance;
+//! epoch-stamped [`snapshot::Snapshot`] — summaries and coefficient
+//! cache behind `Arc`s, plus a fresh, empty per-snapshot estimate memo
+//! — through the database's [`snapshot::SnapshotCell`]. Readers load
+//! the current snapshot with one lock-free pointer load and estimate
+//! entirely against it, answering a repeated query string from the
+//! memo, never blocking on (or being blocked by) maintenance;
 //! [`maintenance::MaintenanceWorker`] moves the mutations themselves
 //! off-thread, and [`service::AdmissionFront`] batches request
 //! admission over the same cell. See [`snapshot`] for the

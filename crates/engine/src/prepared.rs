@@ -308,12 +308,6 @@ pub(crate) struct PreparedCache {
     /// refresh paths use it to detect entries from another database.
     cache_id: u64,
     cap: usize,
-    /// Memoized frozen path→twig view handed to serving snapshots;
-    /// rebuilt lazily after any change to the *path set* (new insert or
-    /// eviction — an epoch refresh keeps the twig, so the view stays
-    /// valid). Shared by pointer: every snapshot published between two
-    /// path-set changes holds the same map.
-    frozen: RwLock<Option<crate::snapshot::FrozenTwigs>>,
     /// Observability handle; evictions journal through it. Counters
     /// below are registered in its typed registry, so the unified
     /// telemetry snapshot and [`PreparedCache::stats`] read the same
@@ -377,7 +371,6 @@ impl PreparedCache {
             by_id: RwLock::new(HashMap::new()),
             cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
             cap: cap.max(1),
-            frozen: RwLock::new(None),
             obs: rec.clone(),
             hits: rec.counter(
                 "xmlest_cache_hits_total",
@@ -561,8 +554,6 @@ impl PreparedCache {
         if tier.map.len() < self.cap {
             tier.ring.push(path.to_owned());
             tier.map.insert(path.to_owned(), slot);
-            drop(tier);
-            self.invalidate_frozen();
             return;
         }
         // Sweep: clear reference bits until an unreferenced slot turns
@@ -589,7 +580,6 @@ impl PreparedCache {
             t.hand = (hand + 1) % t.ring.len();
             drop(tier);
             self.unpin(victim.entry.id);
-            self.invalidate_frozen();
             return;
         }
     }
@@ -617,40 +607,6 @@ impl PreparedCache {
                 self.interner.release(id, slot.entry.twig());
             }
         }
-    }
-
-    /// The frozen path→canonical-twig view snapshots carry: memoized
-    /// until the path set changes, so successive publishes between two
-    /// inserts/evictions share one map by pointer. Benignly racy: a
-    /// concurrently-inserted path may be missing from the view (the
-    /// snapshot falls back to parsing — paths parse deterministically,
-    /// so the estimate is bit-identical either way), never wrong.
-    pub(crate) fn frozen_twigs(&self) -> crate::snapshot::FrozenTwigs {
-        let probe = self.frozen.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
-        if let Some(frozen) = probe.as_ref() {
-            return frozen.clone();
-        }
-        drop(probe);
-        let built: crate::snapshot::FrozenTwigs = {
-            let tier = self.by_path.read().expect("prepared cache lock"); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
-            Arc::new(
-                tier.map
-                    .iter()
-                    .map(|(path, slot)| (path.clone(), slot.entry.twig().clone()))
-                    .collect(),
-            )
-        };
-        *self.frozen.write().expect("prepared cache lock") = Some(built.clone()); // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
-        built
-    }
-
-    /// Drops the memoized frozen view; the next [`frozen_twigs`] call
-    /// rebuilds it from the live tier-1 map. Taken alone — never nested
-    /// inside the tier locks.
-    ///
-    /// [`frozen_twigs`]: PreparedCache::frozen_twigs
-    fn invalidate_frozen(&self) {
-        *self.frozen.write().expect("prepared cache lock") = None; // xlint: allow(no-panic, "poisoned lock means another thread already panicked; propagating is intended")
     }
 
     /// Number of live tier-1 (query-string) entries.

@@ -2,29 +2,56 @@
 //! that publishes them — the wait-free read side of the database.
 //!
 //! A [`Snapshot`] freezes everything an estimate derives from: the
-//! merged [`Summaries`] (grid included), the shared coefficient cache,
-//! and a frozen view of the prepared-query cache's path→twig map, all
-//! behind `Arc`s so a successor snapshot reuses every component the
-//! mutation did not replace (a stable append allocates only the delta —
-//! the new merged summaries; the coefficient cache and twig map carry by
+//! merged [`Summaries`](xmlest_core::Summaries) (grid included) and the shared coefficient
+//! cache, behind `Arc`s so a successor snapshot reuses every component
+//! the mutation did not replace (a stable append allocates only the
+//! delta — the new merged summaries; the coefficient cache carries by
 //! pointer).
+//!
+//! ## The estimate memo
+//!
+//! An estimate on an immutable snapshot is a pure function of the query
+//! string, so every snapshot carries an insert-only memo from the exact
+//! string to its [`Estimate`](xmlest_core::Estimate). Every path-string
+//! entry point ([`Snapshot::estimate`], [`Snapshot::estimate_with`],
+//! [`Snapshot::estimate_batch_with`]) probes it first; a miss parses,
+//! canonicalizes, runs the kernel and memoizes the result. The memo is
+//! born empty with its snapshot and dies with it, so there is nothing
+//! to invalidate: each publish starts a fresh one, and every memoized
+//! answer is the one the kernel gives on that snapshot's epoch.
+//!
+//! The table is fixed in size
+//! ([`MEMO_SLOTS`](crate::snapshot::MEMO_SLOTS) `OnceLock` slots, the
+//! prepared cache's capacity) and keyed by a 64-bit FNV-1a hash plus the
+//! stored string, with a linear probe of 4 slots. The first writer of
+//! a slot wins and nothing is ever evicted; when a string's probe window
+//! is full, a miss simply computes. Errors and paths over
+//! [`MEMO_MAX_PATH`](crate::snapshot::MEMO_MAX_PATH) bytes are never
+//! memoized. A hit is one hash, at most 4 acquire loads and a string
+//! compare: no lock and no allocation. The hash is not keyed, but the
+//! bounded probe means strings crafted to collide can only turn hits
+//! into misses, each costing at most 4 compares more than the
+//! unmemoized path.
 //!
 //! The [`SnapshotCell`] is the publication point: readers load the
 //! current snapshot with one lock-free pointer load
 //! ([`SnapshotCell::current`]) and run *entirely* against it — no lock,
-//! no epoch re-check, no shared-state write. Mutations build the
-//! successor off the read path and publish it by a single pointer swap
-//! with a (strictly monotone) epoch bump; under `--features
-//! strict-invariants` every publish re-validates the summaries and the
-//! epoch monotonicity first, so a torn or regressed snapshot can never
-//! become current.
+//! no epoch re-check, no shared-state write beyond the memo's
+//! insert-once slots. Mutations build the successor off the read path
+//! and publish it by a single pointer swap with a (strictly monotone)
+//! epoch bump; under `--features strict-invariants` every publish
+//! re-validates the summaries and the epoch monotonicity first, so a
+//! torn or regressed snapshot can never become current.
 //!
 //! ## The read-vs-maintenance thread contract
 //!
-//! * **Readers** ([`Snapshot::estimate`] and friends) are wait-free:
-//!   they never block on a mutation, and every value they return is
-//!   computed against exactly one published epoch — bit-identical to a
-//!   single-threaded replay of that epoch's database.
+//! * **Readers** ([`Snapshot::estimate`] and friends) are wait-free
+//!   with respect to maintenance: they never block on a mutation, and
+//!   every value they return is computed against exactly one published
+//!   epoch — bit-identical to a single-threaded replay of that epoch's
+//!   database. (Two readers memoizing into the *same* empty slot at the
+//!   same instant meet in that slot's `OnceLock`: the loser waits out
+//!   the winner's pointer store, then probes on.)
 //! * **Writers** (the `&mut Database` mutation paths, typically driven
 //!   by one [`crate::maintenance::MaintenanceWorker`] thread) serialize
 //!   on the database's `&mut` receiver; the cell itself never blocks
@@ -37,26 +64,118 @@
 //! plan execution stay on the [`crate::db::Database`] itself).
 
 use crate::error::Result;
+use crate::prepared::PREPARED_CACHE_CAP;
 use crate::telemetry::Metrics;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xmlest_core::{CoeffCache, Estimate, Estimator, Summaries, TwigNode, TwigWorkspace};
 use xmlest_query::parse_path;
 use xmlest_xobs::{Recorder, Stage};
 
-/// A frozen path→canonical-twig view of the prepared cache, shared by
-/// every snapshot published while the cache's path set is unchanged.
-pub(crate) type FrozenTwigs = Arc<HashMap<String, Arc<TwigNode>>>;
+/// Slots in a snapshot's estimate memo: the prepared cache's capacity.
+pub const MEMO_SLOTS: usize = PREPARED_CACHE_CAP;
+/// Slots a query string may occupy, starting at its home slot.
+const MEMO_PROBE: usize = 4;
+/// Longest query string (in bytes) the memo stores.
+pub const MEMO_MAX_PATH: usize = 1024;
+
+/// One memoized answer: the query string and its hash, and the estimate.
+#[derive(Debug)]
+struct MemoEntry {
+    hash: u64,
+    path: Box<str>,
+    estimate: Estimate,
+}
+
+impl MemoEntry {
+    /// Whether this entry memoizes `path` (whose hash is `hash`).
+    fn is(&self, hash: u64, path: &str) -> bool {
+        self.hash == hash && *self.path == *path
+    }
+}
+
+/// The insert-only query-string → [`Estimate`] table of one snapshot
+/// (see the module docs).
+struct EstimateMemo {
+    slots: Box<[OnceLock<Box<MemoEntry>>]>,
+}
+
+impl std::fmt::Debug for EstimateMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let filled = self.slots.iter().filter(|s| s.get().is_some()).count();
+        f.debug_struct("EstimateMemo")
+            .field("filled", &filled)
+            .field("slots", &self.slots.len())
+            .finish()
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+impl EstimateMemo {
+    fn new() -> EstimateMemo {
+        EstimateMemo {
+            slots: (0..MEMO_SLOTS).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The probe window of `hash`: its home slot (chosen by the hash's
+    /// folded high and low halves) and the next `MEMO_PROBE - 1`.
+    fn window(&self, hash: u64) -> impl Iterator<Item = &OnceLock<Box<MemoEntry>>> {
+        let home = (hash ^ (hash >> 32)) as usize;
+        (0..MEMO_PROBE).map(move |i| &self.slots[home.wrapping_add(i) % MEMO_SLOTS])
+    }
+
+    /// The memoized estimate of `path`, if any. Slots fill in probe
+    /// order and are never emptied, so the first empty slot ends the
+    /// search.
+    fn get(&self, hash: u64, path: &str) -> Option<&Estimate> {
+        for slot in self.window(hash) {
+            let entry = slot.get()?;
+            if entry.is(hash, path) {
+                return Some(&entry.estimate);
+            }
+        }
+        None
+    }
+
+    /// Memoizes `estimate` for `path` in the first free slot of its
+    /// window. A slot that another writer filled first is skipped (or
+    /// ends the insert, when that writer stored this same path); a full
+    /// window drops the entry.
+    fn insert(&self, hash: u64, path: &str, estimate: &Estimate) {
+        let mut entry = Box::new(MemoEntry {
+            hash,
+            path: path.into(),
+            estimate: estimate.clone(),
+        });
+        for slot in self.window(hash) {
+            match slot.set(entry) {
+                Ok(()) => return,
+                Err(back) => {
+                    if slot.get().is_some_and(|e| e.is(hash, path)) {
+                        return;
+                    }
+                    entry = back;
+                }
+            }
+        }
+    }
+}
 
 /// One immutable, epoch-stamped serving state. Everything an estimate
 /// reads lives behind this value; see the module docs for the contract.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
     degraded: bool,
     summaries: Arc<Summaries>,
     coeffs: Arc<CoeffCache>,
-    twigs: FrozenTwigs,
+    memo: EstimateMemo,
     /// The owning database's observability handle: snapshots record
     /// kernel latency and serve counters into the same recorder the
     /// database and its services share, so telemetry is one view no
@@ -71,7 +190,6 @@ impl Snapshot {
         degraded: bool,
         summaries: Arc<Summaries>,
         coeffs: Arc<CoeffCache>,
-        twigs: FrozenTwigs,
         obs: Recorder,
         metrics: Metrics,
     ) -> Snapshot {
@@ -80,7 +198,7 @@ impl Snapshot {
             degraded,
             summaries,
             coeffs,
-            twigs,
+            memo: EstimateMemo::new(),
             obs,
             metrics,
         }
@@ -138,30 +256,33 @@ impl Snapshot {
         self.summaries.estimator().with_cache(&self.coeffs)
     }
 
-    /// Resolves a path to its canonical twig: a hit on the frozen
-    /// prepared view skips the parser entirely; a miss parses and
-    /// canonicalizes — either way the estimate runs on the canonical
-    /// ordering, so the two are bit-identical.
-    fn resolve(&self, path: &str) -> Result<Arc<TwigNode>> {
-        if let Some(twig) = self.twigs.get(path) {
-            return Ok(twig.clone());
-        }
-        Ok(Arc::new(parse_path(path)?.canonicalize()))
-    }
-
-    /// Estimates a path query against this snapshot (thread-local
-    /// workspace). Wait-free with respect to concurrent mutations: the
-    /// whole computation reads this snapshot only.
+    /// Estimates a path query against this snapshot, on a fresh
+    /// workspace (serving loops hold one and call
+    /// [`Snapshot::estimate_with`]). Wait-free with respect to
+    /// concurrent mutations: the whole computation reads this snapshot
+    /// only.
     pub fn estimate(&self, path: &str) -> Result<Estimate> {
         let mut ws = TwigWorkspace::default();
         self.estimate_with(&mut ws, path)
     }
 
     /// [`Snapshot::estimate`] on a caller-owned workspace — the
-    /// zero-allocation steady state for serving loops.
+    /// zero-allocation steady state for serving loops, and the one path
+    /// every path-string entry point takes: a memo hit returns the
+    /// stored answer; a miss parses, canonicalizes, runs the kernel and
+    /// memoizes a successful result. Either way the value is the
+    /// kernel's on this snapshot, bit for bit.
     pub fn estimate_with(&self, ws: &mut TwigWorkspace, path: &str) -> Result<Estimate> {
+        let key = (path.len() <= MEMO_MAX_PATH).then(|| fnv1a(path.as_bytes()));
+        if let Some(hit) = key.and_then(|hash| self.memo.get(hash, path)) {
+            if self.obs.enabled() {
+                self.metrics.memo_hits.inc();
+            }
+            self.note(true);
+            return Ok(hit.clone());
+        }
         let res = (|| -> Result<Estimate> {
-            let twig = self.resolve(path)?;
+            let twig = parse_path(path)?.canonicalize();
             // Sampled: per-op kernel timing at full cadence costs two
             // clock reads on a sub-microsecond warm path.
             let span = self.obs.span_sampled(Stage::Kernel);
@@ -169,6 +290,9 @@ impl Snapshot {
             drop(span);
             Ok(out?)
         })();
+        if let (Some(hash), Ok(est)) = (key, &res) {
+            self.memo.insert(hash, path, est);
+        }
         self.note(res.is_ok());
         res
     }
@@ -184,11 +308,11 @@ impl Snapshot {
         Ok(out?)
     }
 
-    /// Estimates a batch of paths, deduplicating repeated strings so
-    /// each distinct path is resolved and estimated exactly once (the
-    /// per-path results are bit-identical to [`Snapshot::estimate`]).
-    /// Result order matches the batch; per-path errors come back in
-    /// their own slot.
+    /// Estimates a batch of paths; each result is bit-identical to
+    /// [`Snapshot::estimate`] of its path. A string repeated within the
+    /// batch (or seen earlier on this snapshot) is answered from the
+    /// memo. Result order matches the batch; per-path errors come back
+    /// in their own slot.
     pub fn estimate_batch(&self, paths: &[&str]) -> Vec<Result<Estimate>> {
         let mut ws = TwigWorkspace::default();
         self.estimate_batch_with(&mut ws, paths)
@@ -201,42 +325,13 @@ impl Snapshot {
         ws: &mut TwigWorkspace,
         paths: &[&str],
     ) -> Vec<Result<Estimate>> {
-        let mut distinct: Vec<&str> = Vec::new();
-        let mut class_of: HashMap<&str, usize> = HashMap::with_capacity(paths.len());
-        let slots: Vec<usize> = paths
-            .iter()
-            .map(|&p| {
-                *class_of.entry(p).or_insert_with(|| {
-                    distinct.push(p);
-                    distinct.len() - 1
-                })
-            })
-            .collect();
-        let est = self.estimator();
-        let results: Vec<Result<Estimate>> = distinct
-            .iter()
-            .map(|&p| {
-                let twig = self.resolve(p)?;
-                let span = self.obs.span_sampled(Stage::Kernel);
-                let out = est.estimate_twig_with(ws, &twig);
-                drop(span);
-                Ok(out?)
-            })
-            .collect();
         if self.obs.enabled() {
             self.metrics.batches.inc();
-            // Every slot is a served estimate, dedup or not — the
-            // counter reads as request throughput, not kernel runs.
-            self.metrics.estimates.add(paths.len() as u64);
-            let errors = slots.iter().filter(|&&i| results[i].is_err()).count();
-            if errors > 0 {
-                self.metrics.estimate_errors.add(errors as u64);
-            }
         }
-        slots.into_iter().map(|i| results[i].clone()).collect()
+        paths.iter().map(|p| self.estimate_with(ws, p)).collect()
     }
 
-    /// Cross-structure consistency of the frozen summaries
+    /// Cross-structure consistency of the snapshot's summaries
     /// ([`Summaries::validate`]); run at every publish under
     /// `--features strict-invariants`.
     pub fn validate(&self) -> std::result::Result<(), String> {

@@ -50,6 +50,8 @@ pub(crate) struct Metrics {
     pub(crate) batches: Counter,
     /// Serving snapshots published.
     pub(crate) publishes: Counter,
+    /// Snapshot estimates answered from the snapshot's estimate memo.
+    pub(crate) memo_hits: Counter,
     /// Requests admitted by an admission front.
     pub(crate) front_admitted: Counter,
     /// Batch calls those admissions coalesced into.
@@ -79,6 +81,10 @@ impl Metrics {
             publishes: rec.counter(
                 "xmlest_snapshot_publishes_total",
                 "Serving snapshots published at mutation commit points.",
+            ),
+            memo_hits: rec.counter(
+                "xmlest_snapshot_memo_hits_total",
+                "Snapshot estimates answered from the snapshot's estimate memo (misses = estimates - memo hits, over snapshot entry points).",
             ),
             front_admitted: rec.counter(
                 "xmlest_front_admitted_total",

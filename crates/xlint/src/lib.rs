@@ -1087,7 +1087,9 @@ pub const DOC_CRATES: [&str; 3] = ["core", "engine", "xobs"];
 /// Modules on the warm estimate path — R6 keeps them free of lock
 /// acquisitions so the wait-free serving contract holds by
 /// construction. (The prepared cache is deliberately absent: its locks
-/// are cold-path; snapshots carry a frozen lock-free view of it.)
+/// serve `Database::estimate` and `EstimationService`; snapshots never
+/// consult it, and answer repeated queries from their own insert-only
+/// `OnceLock` memo.)
 pub const WARM_SERVING_FILES: [&str; 4] = [
     "crates/core/src/estimator.rs",
     "crates/engine/src/snapshot.rs",

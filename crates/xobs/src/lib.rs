@@ -322,8 +322,9 @@ fn bucket_lower(b: usize) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u64)]
 pub enum EventKind {
-    /// A new serving snapshot was published. `a` = frozen prepared
-    /// twigs carried, `b` = 1 if the snapshot is degraded.
+    /// A new serving snapshot was published. `a` = the summaries
+    /// generation it serves (what its coefficient tables bind to), `b` =
+    /// 1 if the snapshot is degraded.
     SnapshotPublish = 1,
     /// A summary refresh committed. `a` = 1 if predicate-scoped, 0 if
     /// full, `b` = pre-refresh drift in millionths.

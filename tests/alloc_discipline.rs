@@ -2,8 +2,9 @@
 //! steady-state pH-join kernels perform **zero heap allocations** once a
 //! [`JoinWorkspace`] (and output histogram) have warmed up, and a whole
 //! no-overlap twig estimate — leaf views, merge-based coverage joins,
-//! arena slots, coverage overlays — performs zero heap allocations on a
-//! warmed [`TwigWorkspace`].
+//! arena slots, coverage overlays, parent-child corrections — performs
+//! zero heap allocations on a warmed [`TwigWorkspace`], and neither does
+//! a repeated query on one published snapshot (an estimate-memo hit).
 //!
 //! A counting global allocator records every `alloc`/`realloc`; the
 //! warm-path assertions then demand an exact zero delta. This file holds
@@ -175,6 +176,36 @@ fn warm_join_kernels_allocate_nothing() {
     assert!(expected_twig.is_finite() && expected_twig > 0.0);
     assert!((twig_sum - 250.0 * expected_twig).abs() < 1e-6 * expected_twig.max(1.0));
 
+    // ---- parent-child (`/`) edges ----
+    //
+    // A `/` edge scales the join by the level-histogram correction; the
+    // descendant's suffix sums are stored with its level histogram, so
+    // the correction itself must not allocate either.
+    let pc_twig = TwigNode::named("department").descendant(
+        TwigNode::named("faculty")
+            .child(TwigNode::named("TA"))
+            .descendant(TwigNode::named("RA")),
+    );
+    let expected_pc = est.estimate_twig_with(&mut tws, &pc_twig).unwrap().value;
+    for _ in 0..3 {
+        est.estimate_twig_with(&mut tws, &pc_twig).unwrap();
+    }
+    let mut pc_sum = 0.0;
+    let mut min_delta = usize::MAX;
+    for _ in 0..5 {
+        let before = allocation_count();
+        for _ in 0..50 {
+            pc_sum += est.estimate_twig_with(&mut tws, &pc_twig).unwrap().value;
+        }
+        min_delta = min_delta.min(allocation_count() - before);
+    }
+    assert_eq!(
+        min_delta, 0,
+        "warm parent-child twig estimates performed {min_delta} heap allocations in every round"
+    );
+    assert!(expected_pc.is_finite() && expected_pc > 0.0);
+    assert!((pc_sum - 250.0 * expected_pc).abs() < 1e-6 * expected_pc.max(1.0));
+
     // ---- view-based plan costing ----
     //
     // The optimizer prices every plan of every query; the satellite
@@ -299,6 +330,43 @@ fn warm_join_kernels_allocate_nothing() {
     );
     assert!(expected_single.is_finite() && expected_single > 0.0);
     assert!(single_sum > 0.0);
+
+    // ---- snapshot estimate memo: a warm hit ----
+    //
+    // A repeated query string on one published snapshot is answered
+    // from the snapshot's memo: a hash, a probe and a string compare.
+    let snap = db.snapshot();
+    let mut sws = TwigWorkspace::new();
+    let pc_path = "//department//faculty/TA";
+    let expected_memo = snap.estimate_with(&mut sws, hot).unwrap().value
+        + snap.estimate_with(&mut sws, pc_path).unwrap().value;
+    let hits_before = db
+        .telemetry()
+        .counter("xmlest_snapshot_memo_hits_total")
+        .unwrap_or(0);
+    let mut memo_sum = 0.0;
+    let mut min_delta = usize::MAX;
+    for _ in 0..5 {
+        let before = allocation_count();
+        for _ in 0..50 {
+            memo_sum += snap.estimate_with(&mut sws, hot).unwrap().value;
+            memo_sum += snap.estimate_with(&mut sws, pc_path).unwrap().value;
+        }
+        min_delta = min_delta.min(allocation_count() - before);
+    }
+    assert_eq!(
+        min_delta, 0,
+        "warm snapshot memo hits performed {min_delta} heap allocations in every round"
+    );
+    assert!(expected_memo.is_finite() && expected_memo > 0.0);
+    assert!((memo_sum - 250.0 * expected_memo).abs() < 1e-6 * expected_memo.max(1.0));
+    assert_eq!(
+        db.telemetry()
+            .counter("xmlest_snapshot_memo_hits_total")
+            .unwrap_or(0),
+        hits_before + 500,
+        "every warm estimate should have been a memo hit"
+    );
 
     // ---- instrumented warm path: recording is zero-alloc ----
     //

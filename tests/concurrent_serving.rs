@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use xmlest_core::{GridPolicy, SummaryConfig};
+use xmlest_core::{GridPolicy, SummaryConfig, TwigWorkspace};
 use xmlest_engine::service::{AdmissionFront, AdmissionOptions};
 use xmlest_engine::{Database, MaintenanceWorker};
 
@@ -220,22 +220,64 @@ fn admission_front_is_bit_identical_to_direct_estimates() {
     assert!(front.estimate("//sec//p").is_ok());
 }
 
+/// [`torture_collection`] with sections nested in sections: `sec`
+/// overlaps itself, so a `//sec//…` join takes the primitive pH-join,
+/// the one path that reads coefficient tables (a no-overlap ancestor
+/// with coverage runs the merge kernel and never fetches one).
+fn nested_collection() -> Database {
+    let docs: Vec<(String, String)> = (0..4)
+        .map(|i| {
+            let mut xml = String::from("<doc>");
+            for _ in 0..=i {
+                xml.push_str("<sec><p/><sec><p/><note/></sec><note/></sec>");
+            }
+            xml.push_str("</doc>");
+            (format!("n{i}.xml"), xml)
+        })
+        .collect();
+    Database::load_documents(
+        docs.iter().map(|(n, x)| (n.as_str(), x.as_str())),
+        &SummaryConfig::paper_defaults()
+            .with_grid_size(8)
+            .with_policy(GridPolicy::Slack {
+                slack_percent: 400,
+                drift_threshold: 0.15,
+                auto_refresh: false,
+            }),
+    )
+    .unwrap()
+}
+
 #[test]
 fn coefficient_tables_carry_across_stable_appends() {
-    let mut db = torture_collection();
+    // Flat data: every ancestor is no-overlap with coverage, so every
+    // join runs the merge kernel and no table is fetched or built.
+    let flat = torture_collection();
+    for q in QUERIES {
+        flat.estimate(q).unwrap();
+    }
+    assert!(
+        flat.coeff_cache().is_empty(),
+        "merge-kernel joins must not build coefficient tables"
+    );
+
+    let mut db = nested_collection();
     // Warm the coefficient cache through the estimate path.
     for q in QUERIES {
         db.estimate(q).unwrap();
     }
     let warmed = db.coeff_cache().entries();
-    assert!(!warmed.is_empty(), "estimates should memoize tables");
+    assert!(
+        warmed.iter().any(|(name, _, _)| name == "note"),
+        "primitive joins should memoize tables"
+    );
 
     // A document with sections and paragraphs but **no** notes: the
     // `note` predicate's merged histogram is bit-identical after the
     // stable append, so its tables must carry to the new generation.
     db.add_document(
         "nonotes.xml",
-        "<doc><sec><p/><p/></sec><sec><p/></sec></doc>",
+        "<doc><sec><p/><sec><p/></sec></sec><sec><p/></sec></doc>",
     )
     .unwrap();
     let carried = db.coeff_cache().entries();
@@ -378,4 +420,188 @@ fn maintenance_worker_reports_stats_and_shuts_down() {
     assert!(worker.remove_document("nope.xml").is_err());
     let db = worker.shutdown().unwrap();
     assert_eq!(db.document_names().len(), 5);
+}
+
+// ---- the per-snapshot estimate memo ----
+
+fn memo_hits(db: &Database) -> u64 {
+    db.telemetry()
+        .counter("xmlest_snapshot_memo_hits_total")
+        .unwrap_or(0)
+}
+
+/// Bits of the kernel's estimate of `path` on `snapshot`, computed
+/// around the memo: parse → canonicalize → `estimate_twig_with`.
+fn kernel_bits(snapshot: &xmlest_engine::Snapshot, path: &str) -> u64 {
+    let twig = xmlest_query::parse_path(path).unwrap().canonicalize();
+    snapshot
+        .estimator()
+        .estimate_twig_with(&mut TwigWorkspace::default(), &twig)
+        .unwrap()
+        .value
+        .to_bits()
+}
+
+/// Distinct, valid chain queries over the torture tags — far more of
+/// them than the memo has slots.
+fn many_paths(n: usize) -> Vec<String> {
+    const TAGS: [&str; 4] = ["doc", "sec", "p", "note"];
+    let mut out = Vec::with_capacity(n);
+    // Bijective mixed-radix numbering: k picks the first tag, then
+    // (axis, tag) per further step, so every k spells a distinct path.
+    for k in 0..n {
+        let mut path = format!("//{}", TAGS[k % 4]);
+        let mut rest = k / 4;
+        while rest > 0 {
+            rest -= 1;
+            path.push_str(if rest % 2 == 0 { "//" } else { "/" });
+            rest /= 2;
+            path.push_str(TAGS[rest % 4]);
+            rest /= 4;
+        }
+        out.push(path);
+    }
+    out
+}
+
+#[test]
+fn memo_hit_miss_and_kernel_agree_bit_for_bit() {
+    let db = torture_collection();
+    let snap = db.snapshot();
+    let mut ws = TwigWorkspace::default();
+    let before = memo_hits(&db);
+    for q in QUERIES.iter().chain(&["//doc[.//note]//sec/p"]) {
+        let miss = snap.estimate_with(&mut ws, q).unwrap();
+        let hit = snap.estimate_with(&mut ws, q).unwrap();
+        let batch = snap.estimate_batch(&[q, q]);
+        let kernel = kernel_bits(&snap, q);
+        assert_eq!(miss.value.to_bits(), kernel, "{q}: miss vs kernel");
+        assert_eq!(hit.value.to_bits(), kernel, "{q}: hit vs kernel");
+        for b in batch {
+            assert_eq!(b.unwrap().value.to_bits(), kernel, "{q}: batch vs kernel");
+        }
+    }
+    // Each query missed once, then hit three times (one single-shot,
+    // two batch slots).
+    assert_eq!(memo_hits(&db), before + 3 * (QUERIES.len() as u64 + 1));
+    // Errors are never memoized: a failing path fails every time.
+    assert!(snap.estimate("//sec//GHOST").is_err());
+    assert!(snap.estimate("//sec//GHOST").is_err());
+    assert_eq!(memo_hits(&db), before + 3 * (QUERIES.len() as u64 + 1));
+}
+
+#[test]
+fn memo_starts_fresh_at_every_publish() {
+    let config = SummaryConfig::paper_defaults().with_grid_size(8);
+    let docs: Vec<(String, String)> = (0..4)
+        .map(|i| (format!("d{i}.xml"), doc_xml(i + 1)))
+        .collect();
+    let load = |docs: &[(String, String)]| {
+        Database::load_documents(docs.iter().map(|(n, x)| (n.as_str(), x.as_str())), &config)
+            .unwrap()
+    };
+    let mut db = load(&docs);
+    let old = db.snapshot();
+    let old_bits: Vec<u64> = QUERIES
+        .iter()
+        .map(|q| old.estimate(q).unwrap().value.to_bits())
+        .collect();
+
+    // Mutate: the published successor must answer like a cold load of
+    // the same documents, not like the memo of its predecessor.
+    let extra = ("late.xml".to_owned(), doc_xml(7));
+    db.add_document(&extra.0, &extra.1).unwrap();
+    let mut all = docs.clone();
+    all.push(extra);
+    let fresh = load(&all);
+    let (new, cold) = (db.snapshot(), fresh.snapshot());
+    assert!(new.epoch() > old.epoch());
+    for _ in 0..2 {
+        for q in QUERIES {
+            let bits = new.estimate(q).unwrap().value.to_bits();
+            assert_eq!(bits, cold.estimate(q).unwrap().value.to_bits(), "{q}");
+            assert_eq!(bits, kernel_bits(&new, q), "{q}");
+        }
+    }
+    // The held snapshot still answers for its own epoch, memo and all.
+    for (q, want) in QUERIES.iter().zip(&old_bits) {
+        assert_eq!(old.estimate(q).unwrap().value.to_bits(), *want, "{q}");
+        assert_eq!(kernel_bits(&old, q), *want, "{q}");
+    }
+    assert!(
+        old_bits
+            .iter()
+            .zip(QUERIES)
+            .any(|(b, q)| *b != new.estimate(q).unwrap().value.to_bits()),
+        "the mutation should move some estimate"
+    );
+}
+
+#[test]
+fn memo_overflow_keeps_every_answer_correct() {
+    let db = torture_collection();
+    let snap = db.snapshot();
+    let paths = many_paths(xmlest_engine::snapshot::MEMO_SLOTS + 1500);
+    let mut ws = TwigWorkspace::default();
+    let want: Vec<u64> = paths.iter().map(|p| kernel_bits(&snap, p)).collect();
+    let before = memo_hits(&db);
+    for _ in 0..2 {
+        for (p, w) in paths.iter().zip(&want) {
+            let got = snap.estimate_with(&mut ws, p).unwrap();
+            assert_eq!(got.value.to_bits(), *w, "{p}");
+        }
+    }
+    // The second pass hit for what the table held — never more than its
+    // slots — and computed the rest.
+    let hits = memo_hits(&db) - before;
+    assert!(hits > 0, "the memo never hit");
+    assert!(
+        hits <= xmlest_engine::snapshot::MEMO_SLOTS as u64,
+        "{hits} hits from a {}-slot memo",
+        xmlest_engine::snapshot::MEMO_SLOTS
+    );
+    // Paths longer than the memo's key limit are computed, not stored.
+    let long = format!("//doc{}//p", "//sec".repeat(210));
+    assert!(long.len() > xmlest_engine::snapshot::MEMO_MAX_PATH);
+    let before = memo_hits(&db);
+    for _ in 0..2 {
+        let got = snap.estimate_with(&mut ws, &long).unwrap();
+        assert_eq!(got.value.to_bits(), kernel_bits(&snap, &long));
+    }
+    assert_eq!(memo_hits(&db), before);
+}
+
+#[test]
+fn racing_readers_on_cold_paths_agree() {
+    let paths = many_paths(600);
+    for round in 0..4 {
+        // A fresh database per round: every path starts cold on its
+        // snapshot, and both readers race to memoize the same slots.
+        let snap = torture_collection().snapshot();
+        let expected: Vec<u64> = paths.iter().map(|p| kernel_bits(&snap, p)).collect();
+        let logs: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (snap, paths) = (&snap, &paths);
+                    scope.spawn(move || {
+                        let mut ws = TwigWorkspace::default();
+                        let mut out = Vec::with_capacity(2 * paths.len());
+                        for _ in 0..2 {
+                            for p in paths {
+                                let est = snap.estimate_with(&mut ws, p).unwrap();
+                                out.push(est.value.to_bits());
+                            }
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(logs[0], logs[1], "round {round}: readers disagree");
+        for (i, bits) in logs[0].iter().enumerate() {
+            let p = &paths[i % paths.len()];
+            assert_eq!(*bits, expected[i % paths.len()], "round {round}: {p}");
+        }
+    }
 }
